@@ -1,9 +1,9 @@
 """Cluster occupancy: schedule the trace onto a GPU fleet.
 
-Feeds the synthetic trace through the multi-job scheduler, reproduces
-the Sec. II-A2 claim that distributed training consumes more than 85%
-of compute resources, and renders a per-step timeline of one simulated
-job for good measure.
+Replays the synthetic trace onto a 512-server fleet under FIFO with
+:func:`repro.sched.run_schedule`, reproduces the Sec. II-A2 claim that
+distributed training consumes more than 85% of compute resources, and
+renders a per-step timeline of one simulated job for good measure.
 
 Run with::
 
@@ -12,29 +12,24 @@ Run with::
 
 from repro.core import Architecture, TABLE_VI_EFFICIENCIES, testbed_v100_hardware
 from repro.graphs import Deployment, build_resnet50
-from repro.sim import ClusterScheduler, render_timeline, simulate_step
+from repro.sched import FifoPolicy, Fleet, run_schedule
+from repro.sim import render_timeline, simulate_step
 from repro.trace import generate_trace
 
 
 def main() -> None:
     jobs = generate_trace(num_jobs=3000)
-    scheduler = ClusterScheduler(num_servers=512, gpus_per_server=8)
-    placeable = [
-        j
-        for j in jobs
-        if not (
-            j.workload_type is Architecture.PS_WORKER and j.num_cnodes > 512
-        )
-    ]
-    result = scheduler.schedule(placeable)
+    result = run_schedule(
+        jobs, Fleet(512), FifoPolicy(), collect_telemetry=False
+    )
 
     print(
-        f"scheduled {len(result.executions)} jobs on "
-        f"{scheduler.total_gpus} GPUs "
-        f"({len(result.rejected)} rejected as oversized)"
+        f"scheduled {len(result.outcomes)} jobs on "
+        f"{result.total_gpus} GPUs "
+        f"({len(result.rejected)} rejected: they cannot fit the fleet)"
     )
     print(f"makespan: {result.makespan_hours / 24:.1f} days")
-    print(f"average queueing delay: {result.average_wait_hours:.2f} h")
+    print(f"average queueing delay: {result.mean_queueing_delay_hours:.2f} h")
     print(f"cluster utilization: {result.utilization():.1%}")
     print(
         f"distributed-training resource share: "

@@ -7,9 +7,9 @@ The enforced order (lower layers never import higher ones)::
             -> analysis(7) -> lint(8)
 
 ``obs`` is the measurement substrate and is importable from anywhere
-(it imports nothing of ``repro`` itself).  Note the order reflects the
-*actual* dependency direction of the code: ``sim.multijob`` is a thin
-client of ``sched`` since PR 1, so ``sched`` sits below ``sim``.
+(it imports nothing of ``repro`` itself).  ``sched`` and ``sim`` import
+nothing of each other; ``sched`` ranks lower only because it needs
+nothing above ``trace``.
 ``trace.columnar`` lives in layer 1 like the rest of ``trace``: the
 columnar store depends only on ``core`` (for the feature schema and
 ``FeatureArrays``) and ``obs``, which is what lets every higher layer

@@ -21,23 +21,20 @@ policy, the engine produces the identical schedule -- every tie is
 broken on (hour, sequence number) and policies are required to order
 deterministically.
 
-Two replay engines share that loop:
-
-* ``engine="event"`` -- the reference implementation: every arrival is
-  a heap event, durations are resolved for the whole trace up front.
-* ``engine="day"`` (the default) -- arrivals are admitted one
-  *submission day* at a time (:func:`repro.trace.schema.iter_day_groups`).
-  A day's batch enqueues in one append pass, its model-predicted
-  durations come from the vectorized columnar path
-  (:meth:`~repro.sched.predictor.ModelRuntimePredictor.batch_duration_hours`),
-  and for non-preempting policies a whole-queue feasibility screen
-  against :meth:`~repro.sched.fleet.Fleet.feasibility_caps` skips the
-  sort-and-trial-place round when nothing can start.  Each reduction is
-  exact -- same floats, same event ordering, same policy calls observed
-  -- so the two engines produce **byte-identical**
-  :class:`~repro.sched.outcomes.ScheduleOutcome` values (pinned by
-  regression tests across all bundled policies, with and without
-  injected faults).
+Arrivals are admitted one *submission day* at a time
+(:func:`repro.trace.schema.iter_day_groups`): each day is one heap
+event carrying the lowest sequence numbers, so a day's batch joins the
+queue before anything else happening at that hour.  A day's
+model-predicted durations come from one vectorized
+:meth:`~repro.sched.predictor.ModelRuntimePredictor.batch_duration_hours`
+call, and for non-preempting policies a whole-queue feasibility screen
+against :meth:`~repro.sched.fleet.Fleet.feasibility_caps` skips the
+policy round when nothing can start.  Both are exact reductions of the
+per-job path: the same floats, the same event ordering, the same
+schedule.  Golden digests of whole
+:class:`~repro.sched.outcomes.ScheduleOutcome` values, recorded when a
+per-event reference engine still existed and agreed byte for byte,
+pin this in ``tests/sched/test_day_batch.py``.
 """
 
 from __future__ import annotations
@@ -71,8 +68,16 @@ __all__ = ["run_schedule"]
 _HOURS_PER_DAY = 24.0
 
 #: Safety bound on policy invocations per event timestamp; a correct
-#: policy converges in a handful of rounds.
+#: policy converges in a handful of rounds, so running out raises.
 _MAX_DECISION_ROUNDS = 10000
+
+# Event kinds.  Ties on the hour break on the sequence number, which is
+# unique per event; day admissions hold the lowest ones.
+_COMPLETION = 0
+_ARRIVAL = 1  # a crashed job's retry, after its backoff
+_CRASH = 2
+_STORM_TICK = 3
+_DAY = 4
 
 
 class _JobState:
@@ -103,18 +108,6 @@ class _JobState:
         self.incarnation = 0
         #: Failure/requeue cycles (injected worker crashes).
         self.retries = 0
-
-
-def _resolve_durations(
-    jobs: List[JobRecord],
-    durations: Optional[Dict[int, float]],
-    predictor: Optional[ModelRuntimePredictor],
-) -> Dict[int, float]:
-    if durations is not None:
-        return durations
-    if predictor is not None:
-        return predictor.durations(jobs)
-    return sample_durations(jobs)
 
 
 def _any_fits(queue: List[PendingJob], caps: Tuple[int, int, int]) -> bool:
@@ -150,10 +143,8 @@ def run_schedule(
     policy: Policy,
     durations: Optional[Dict[int, float]] = None,
     predictor: Optional[ModelRuntimePredictor] = None,
-    on_unplaceable: str = "reject",
     collect_telemetry: bool = True,
     faults: Optional[SchedFaults] = None,
-    engine: str = "day",
 ) -> ScheduleOutcome:
     """Schedule a trace onto a fleet under a policy.
 
@@ -165,45 +156,32 @@ def run_schedule(
         fleet: The cluster.  Mutated during the run; pass a fresh one.
         policy: The scheduling discipline.
         durations: Per-job service hours keyed by job id.  When absent,
-            ``predictor`` supplies them; when that is absent too, the
-            legacy log-normal :func:`~repro.sched.predictor.sample_durations`
-            draw is used.
+            ``predictor`` supplies them, one batch per submission day;
+            when that is absent too, the log-normal
+            :func:`~repro.sched.predictor.sample_durations` draw is used.
         predictor: Model-based runtime predictor (see
             :class:`~repro.sched.predictor.ModelRuntimePredictor`).
-        on_unplaceable: What to do with a job that can never fit the
-            fleet's geometry: ``"reject"`` records it as rejected,
-            ``"raise"`` raises ``RuntimeError`` (the legacy
-            ``repro.sim.multijob`` contract).  Jobs wider than the whole
-            fleet are always rejected.
         collect_telemetry: Sample fleet state at every event timestamp.
         faults: Injected disruptions (worker crashes, preemption
             storms); ``None`` = failure-free replay.
-        engine: ``"day"`` (default) admits arrivals one submission day
-            at a time with vectorized batch durations and a queue
-            feasibility screen; ``"event"`` is the reference per-event
-            replay.  Both produce byte-identical outcomes (see the
-            module docstring).
 
     Returns:
-        The per-job outcomes, rejects and fleet telemetry.
+        The per-job outcomes, rejects and fleet telemetry.  A job wider
+        than the fleet, or one whose shape can never fit it (say, more
+        PS workers than servers), is recorded in ``rejected``.
+
+    Raises:
+        RuntimeError: The policy leaves placeable jobs queued on an idle
+            fleet with nothing left to happen, or does not converge
+            within ``_MAX_DECISION_ROUNDS`` decisions at one timestamp.
     """
-    if on_unplaceable not in ("reject", "raise"):
-        raise ValueError("on_unplaceable must be 'reject' or 'raise'")
-    if engine not in ("day", "event"):
-        raise ValueError("engine must be 'day' or 'event'")
     if faults is None:
         faults = SchedFaults()
     obs = get_obs()
-    day_mode = engine == "day"
+    policy_name = getattr(policy, "name", type(policy).__name__)
     trace = sorted(jobs, key=lambda j: (j.submit_day, j.job_id))
-    if day_mode and durations is None and predictor is not None:
-        # Model-predicted durations resolve per admitted day through
-        # the vectorized columnar path; everything else (explicit dicts,
-        # the legacy per-job log-normal draw) resolves up front exactly
-        # as in event mode.
-        service: Optional[Dict[int, float]] = None
-    else:
-        service = _resolve_durations(trace, durations, predictor)
+    if durations is None and predictor is None:
+        durations = sample_durations(trace)
 
     rejected: List[JobRecord] = []
     admitted: List[JobRecord] = []
@@ -212,73 +190,49 @@ def run_schedule(
     #: once per distinct shape instead of once per job.
     feasible: Dict[Tuple[Architecture, int], bool] = {}
     for job in trace:
-        if job.num_cnodes > fleet.total_gpus:
-            rejected.append(job)
-            continue
         shape = (job.workload_type, job.num_cnodes)
         placeable = feasible.get(shape)
         if placeable is None:
             placeable = fleet.can_ever_place(*shape)
             feasible[shape] = placeable
-        if not placeable:
-            if on_unplaceable == "raise":
-                raise RuntimeError(
-                    "scheduler stuck: job cannot be placed on an empty cluster"
-                )
+        if placeable:
+            admitted.append(job)
+        else:
             rejected.append(job)
-            continue
-        admitted.append(job)
 
-    # Event heap: (hour, sequence, kind, key, incarnation); kind 0 =
-    # completion, 1 = arrival, so completions at a timestamp release
-    # GPUs before that timestamp's scheduling pass.  Injected faults
-    # ride the same heap: kind 2 = worker crash (key = index into
-    # ``faults.crashes``), kind 3 = storm wave (key = index into
-    # ``faults.storms``), ordered after the timestamp's arrivals so a
-    # crash can hit a job that just started.
-    #
-    # Day mode keeps initial arrivals *off* the heap -- each day's batch
-    # is admitted directly when the clock reaches its hour -- but
-    # reserves their sequence numbers (0..len(admitted)-1) so fault
-    # events and every dynamically pushed completion/retry carry the
-    # same sequence number in both modes, keeping tie-breaks identical.
-    events: List[Tuple[float, int, int, int, int]] = []
-    states: Dict[int, _JobState] = {}
-    day_groups: List[Tuple[int, List[JobRecord]]] = []
-    day_cursor = 0
-    sequence = 0
-    if day_mode:
-        day_groups = list(iter_day_groups(admitted))
-        sequence = len(admitted)
-    else:
-        for job in admitted:
-            arrival = job.submit_day * _HOURS_PER_DAY
-            events.append((arrival, sequence, 1, job.job_id, 0))
-            states[job.job_id] = _JobState(job, arrival, service[job.job_id])
-            sequence += 1
+    # Event heap: (hour, sequence, kind, key, incarnation).  Day
+    # admissions take the lowest sequence numbers, so a day's batch
+    # joins the queue before any other event at its hour; injected
+    # faults follow (key = index into ``faults.crashes`` /
+    # ``faults.storms``), then every completion and retry pushed while
+    # the replay runs.  Crashes and storm ticks only arm at pop time and
+    # fire after the timestamp's scheduling pass, so a crash can hit a
+    # job that just started.
+    day_groups = list(iter_day_groups(admitted))
+    events: List[Tuple[float, int, int, int, int]] = [
+        (day * _HOURS_PER_DAY, index, _DAY, index, 0)
+        for index, (day, _) in enumerate(day_groups)
+    ]
+    sequence = len(events)
     for crash_index, crash in enumerate(faults.crashes):
-        events.append((crash.hour, sequence, 2, crash_index, 0))
+        events.append((crash.hour, sequence, _CRASH, crash_index, 0))
         sequence += 1
     for storm_index, storm in enumerate(faults.storms):
         for tick in storm.tick_hours():
-            events.append((tick, sequence, 3, storm_index, 0))
+            events.append((tick, sequence, _STORM_TICK, storm_index, 0))
             sequence += 1
     heapq.heapify(events)
 
+    states: Dict[int, _JobState] = {}
     queue: List[PendingJob] = []
     running: Dict[int, RunningJob] = {}
     finished: List[JobOutcome] = []
     samples: List[TelemetrySample] = []
     active_gpu_hours = 0.0
     previous_hour = events[0][0] if events else 0.0
-    if day_groups:
-        first_day_hour = day_groups[0][0] * _HOURS_PER_DAY
-        previous_hour = (
-            first_day_hour if not events else min(previous_hour, first_day_hour)
-        )
     #: Skip the policy round entirely when the queue provably cannot
     #: start anything -- exact only for policies that never preempt.
-    screen_queue = day_mode and not getattr(policy, "may_preempt", True)
+    screen_queue = not getattr(policy, "may_preempt", True)
     #: Fault events whose hour has passed but which have not found a
     #: running victim yet (indices into ``faults.crashes`` /
     #: ``faults.storms``).
@@ -293,7 +247,8 @@ def run_schedule(
         end = now + state.remaining_hours
         sequence += 1
         heapq.heappush(
-            events, (end, sequence, 0, state.job.job_id, state.incarnation)
+            events,
+            (end, sequence, _COMPLETION, state.job.job_id, state.incarnation),
         )
         running[state.job.job_id] = RunningJob(
             job=state.job, placement=placement, start_hour=now, end_hour=end
@@ -364,58 +319,48 @@ def run_schedule(
         sequence += 1
         heapq.heappush(
             events,
-            (now + backoff_hours, sequence, 1, state.job.job_id, 0),
+            (now + backoff_hours, sequence, _ARRIVAL, state.job.job_id, 0),
         )
 
-    while events or day_cursor < len(day_groups):
-        day_hour = (
-            day_groups[day_cursor][0] * _HOURS_PER_DAY
-            if day_cursor < len(day_groups)
-            else None
-        )
-        if day_hour is not None and (not events or day_hour <= events[0][0]):
-            now = day_hour
-        else:
-            now = events[0][0]
+    while events:
+        now = events[0][0]
         # Integrate GPU activity over the idle gap just ended.
         active_gpu_hours += fleet.busy_gpus * (now - previous_hour)
         previous_hour = now
-        if day_hour == now and day_hour is not None:
-            # Admit the day's arrivals as one batch: durations in one
-            # vectorized model evaluation, queue entries in one append
-            # pass.  Initial arrivals carry the lowest sequence numbers
-            # in event mode, so batch-before-heap matches its ordering
-            # exactly; retries and completions pop right after, below.
-            _, group = day_groups[day_cursor]
-            day_cursor += 1
-            day_service = (
-                service
-                if service is not None
-                else predictor.batch_duration_hours(group)
-            )
-            for job in group:
-                state = _JobState(job, now, day_service[job.job_id])
-                states[job.job_id] = state
-                queue.append(
-                    PendingJob(
-                        job=job,
-                        arrival_hour=now,
-                        remaining_hours=state.remaining_hours,
-                    )
-                )
         while events and events[0][0] == now:
-            _, _, kind, job_id, incarnation = heapq.heappop(events)
-            if kind == 2:
+            _, _, kind, key, incarnation = heapq.heappop(events)
+            if kind == _DAY:
+                # Admit the day's arrivals as one batch: durations in one
+                # vectorized model evaluation, queue entries in one
+                # append pass.
+                _, group = day_groups[key]
+                day_service = (
+                    durations
+                    if durations is not None
+                    else predictor.batch_duration_hours(group)
+                )
+                for job in group:
+                    state = _JobState(job, now, day_service[job.job_id])
+                    states[job.job_id] = state
+                    queue.append(
+                        PendingJob(
+                            job=job,
+                            arrival_hour=now,
+                            remaining_hours=state.remaining_hours,
+                        )
+                    )
+                continue
+            if kind == _CRASH:
                 # Crashes fire after this timestamp's scheduling pass
                 # (below), when jobs started at this instant are
                 # visible as running victims.
-                pending_crashes.append(job_id)
+                pending_crashes.append(key)
                 continue
-            if kind == 3:
-                pending_storm_ticks.append(job_id)
+            if kind == _STORM_TICK:
+                pending_storm_ticks.append(key)
                 continue
-            state = states[job_id]
-            if kind == 0:
+            state = states[key]
+            if kind == _COMPLETION:
                 if incarnation != state.incarnation or state.placement is None:
                     continue  # stale completion of a preempted run
                 state.segments.append(
@@ -428,7 +373,7 @@ def run_schedule(
                 state.remaining_hours = 0.0
                 fleet.release(state.placement)
                 state.placement = None
-                del running[job_id]
+                del running[key]
                 finished.append(
                     JobOutcome(
                         job=state.job,
@@ -451,49 +396,54 @@ def run_schedule(
         if queue and screen_queue and not _any_fits(
             queue, fleet.feasibility_caps()
         ):
+            # Provably empty decision: skip the policy round.
             obs.metrics.counter("sched.screened_rounds").inc()
-            rounds: range = range(0)  # provably-empty decision: skip
         else:
-            rounds = range(_MAX_DECISION_ROUNDS)
-        for _ in rounds:
-            if not queue:
-                break
-            context = SchedulingContext(
-                now=now,
-                fleet=fleet,
-                queue=tuple(queue),
-                running=tuple(running.values()),
-            )
-            decision: SchedulingDecision = policy.select(context)
-            if decision.is_empty:
-                break
-            applied = 0
-            for job_id in decision.preemptions:
-                state = states.get(job_id)
-                if state is None or state.placement is None:
-                    continue  # policy named a job that is not running
-                preempt_job(state, now)
-                applied += 1
-            pending_by_id = {p.job_id: p for p in queue}
-            for job_id in decision.starts:
-                pending = pending_by_id.get(job_id)
-                if pending is None:
-                    continue  # policy named a job that is not queued
-                state = states[job_id]
-                placement = fleet.try_place(
-                    state.job.workload_type, state.job.num_cnodes
+            for _ in range(_MAX_DECISION_ROUNDS):
+                if not queue:
+                    break
+                context = SchedulingContext(
+                    now=now,
+                    fleet=fleet,
+                    queue=tuple(queue),
+                    running=tuple(running.values()),
                 )
-                if placement is None:
-                    continue  # plan no longer fits the live fleet
-                if pending is not queue[0]:
-                    # Started past an older waiter: a backfill (or
-                    # priority jump) by the policy's own choice.
-                    obs.metrics.counter("sched.backfills").inc()
-                queue.remove(pending)
-                start_job(state, placement, now)
-                applied += 1
-            if applied == 0:
-                break  # non-empty decision that changed nothing
+                decision: SchedulingDecision = policy.select(context)
+                if decision.is_empty:
+                    break
+                applied = 0
+                for job_id in decision.preemptions:
+                    state = states.get(job_id)
+                    if state is None or state.placement is None:
+                        continue  # policy named a job that is not running
+                    preempt_job(state, now)
+                    applied += 1
+                pending_by_id = {p.job_id: p for p in queue}
+                for job_id in decision.starts:
+                    pending = pending_by_id.get(job_id)
+                    if pending is None:
+                        continue  # policy named a job that is not queued
+                    state = states[job_id]
+                    placement = fleet.try_place(
+                        state.job.workload_type, state.job.num_cnodes
+                    )
+                    if placement is None:
+                        continue  # plan no longer fits the live fleet
+                    if pending is not queue[0]:
+                        # Started past an older waiter: a backfill (or
+                        # priority jump) by the policy's own choice.
+                        obs.metrics.counter("sched.backfills").inc()
+                    queue.remove(pending)
+                    start_job(state, placement, now)
+                    applied += 1
+                if applied == 0:
+                    break  # non-empty decision that changed nothing
+            else:
+                raise RuntimeError(
+                    f"scheduler stuck: policy {policy_name!r} did not "
+                    f"converge within {_MAX_DECISION_ROUNDS} decision rounds "
+                    f"at hour {now}"
+                )
 
         # Injected faults fire once the timestamp's scheduling settled:
         # storms evict whoever is running now; a crash kills its victim
@@ -538,12 +488,7 @@ def run_schedule(
             obs.metrics.gauge("sched.queue_depth").set(len(queue))
             obs.metrics.gauge("sched.busy_gpus").set(fleet.busy_gpus)
             obs.metrics.gauge("sched.fragmentation").set(fleet.fragmentation())
-        if (
-            not events
-            and day_cursor >= len(day_groups)
-            and queue
-            and not running
-        ):
+        if not events and queue and not running:
             # Placeable jobs remain, nothing running, no future events:
             # the policy refuses to start them and never will.
             raise RuntimeError(
@@ -565,7 +510,7 @@ def run_schedule(
     obs.event(
         "sched.done",
         level=DEBUG,
-        policy=getattr(policy, "name", type(policy).__name__),
+        policy=policy_name,
         jobs=len(trace),
         finished=len(finished),
         rejected=len(rejected),
@@ -573,7 +518,7 @@ def run_schedule(
         active_gpu_hours=active_gpu_hours,
     )
     return ScheduleOutcome(
-        policy=getattr(policy, "name", type(policy).__name__),
+        policy=policy_name,
         outcomes=outcomes,
         total_gpus=fleet.total_gpus,
         rejected=rejected,

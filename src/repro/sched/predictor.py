@@ -5,7 +5,8 @@ estimate per job.  Two sources are provided:
 
 * :func:`sample_durations` -- the log-normal draw every production
   cluster study reports, deterministic per ``(seed, job_id)``.  This is
-  what the legacy :mod:`repro.sim.multijob` client uses.
+  what :func:`~repro.sched.engine.run_schedule` uses when given neither
+  durations nor a predictor.
 * :class:`ModelRuntimePredictor` -- couples the analytical performance
   model (:func:`repro.core.timemodel.estimate_step_time`) with a
   deterministic per-job step *count*: duration = predicted step time
@@ -132,8 +133,7 @@ class ModelRuntimePredictor:
         exactly as in :meth:`duration_hours`, and the vectorized model
         itself is pinned bit-identical to the scalar one, so this
         returns the same floats as the per-job path -- which is what
-        lets the day-batched engine use it while staying byte-identical
-        to the per-event engine.
+        lets the engine price each admitted day with one call.
         """
         jobs = list(jobs)
         if not jobs:

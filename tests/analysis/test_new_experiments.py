@@ -1,8 +1,11 @@
 """The observation and inference experiment modules."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.context import default_trace
+from repro.core.architectures import Architecture
 from repro.analysis.inference_report import run as run_inference
 from repro.analysis.observations import run as run_observations
 
@@ -30,6 +33,20 @@ class TestObservations:
     def test_every_row_has_paper_reference(self, jobs):
         result = run_observations(jobs)
         assert all(row["paper"] for row in result.rows)
+
+    def test_a_rejected_job_fails_the_share_loudly(self, jobs):
+        # 5000 GPUs exceed the 512-server fleet: the share must not be
+        # reported with the job silently left out.
+        wide = dataclasses.replace(
+            jobs[0],
+            features=dataclasses.replace(
+                jobs[0].features,
+                architecture=Architecture.ALLREDUCE_CLUSTER,
+                num_cnodes=5000,
+            ),
+        )
+        with pytest.raises(RuntimeError, match="1 jobs cannot be placed"):
+            run_observations((wide,) + tuple(jobs[1:]))
 
 
 class TestInferenceReport:

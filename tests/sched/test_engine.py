@@ -33,20 +33,31 @@ class TestMechanics:
         outcome = run_schedule(jobs, Fleet(2), FifoPolicy(), durations={0: 1.0})
         assert [job.job_id for job in outcome.rejected] == [0]
 
-    def test_unplaceable_shape_raises_when_asked(self):
-        jobs = [make_job(0, Architecture.PS_WORKER, 4)]
-        with pytest.raises(RuntimeError):
-            run_schedule(
-                jobs,
-                Fleet(2),
-                FifoPolicy(),
-                durations={0: 1.0},
-                on_unplaceable="raise",
-            )
+    def test_fragmented_fleet_makes_a_local_gang_wait(self):
+        # Two 5-GPU gangs leave 3+3 free: a 6-GPU local gang must wait
+        # for the first of them to end although 6 GPUs are free in total.
+        jobs = [
+            make_job(0, Architecture.ALLREDUCE_LOCAL, 5),
+            make_job(1, Architecture.ALLREDUCE_LOCAL, 5),
+            make_job(2, Architecture.ALLREDUCE_LOCAL, 6),
+        ]
+        outcome = run_schedule(
+            jobs, Fleet(2), FifoPolicy(), durations={0: 2.0, 1: 3.0, 2: 1.0}
+        )
+        waits = {o.job.job_id: o.queueing_delay_hours for o in outcome.outcomes}
+        assert waits == {0: 0.0, 1: 0.0, 2: 2.0}
 
-    def test_on_unplaceable_validated(self):
-        with pytest.raises(ValueError):
-            run_schedule([], Fleet(1), FifoPolicy(), on_unplaceable="ignore")
+    def test_ps_jobs_spread_one_worker_per_server(self):
+        jobs = [
+            make_job(0, Architecture.PS_WORKER, 4),
+            make_job(1, Architecture.PS_WORKER, 4),
+        ]
+        outcome = run_schedule(
+            jobs, Fleet(4), FifoPolicy(), durations={0: 1.0, 1: 1.0}
+        )
+        for o in outcome.outcomes:
+            assert o.queueing_delay_hours == 0.0
+            assert o.segments[0].placement.gpus_by_server == (1, 1, 1, 1)
 
     def test_outcomes_sorted_by_submission(self):
         jobs = [
@@ -161,6 +172,44 @@ class TestOutcomeMetrics:
         assert outcome.mean_bounded_slowdown(threshold_hours=1.0) < 10.0
         with pytest.raises(ValueError):
             outcome.mean_bounded_slowdown(threshold_hours=0.0)
+
+    def test_distributed_resource_share(self):
+        jobs = [
+            make_job(0, Architecture.SINGLE, 1),
+            make_job(1, Architecture.ALLREDUCE_LOCAL, 8),
+        ]
+        outcome = run_schedule(
+            jobs, Fleet(2), FifoPolicy(), durations={0: 1.0, 1: 1.0}
+        )
+        assert outcome.gpu_hours_by_type() == {
+            Architecture.SINGLE: 1.0,
+            Architecture.ALLREDUCE_LOCAL: 8.0,
+        }
+        assert outcome.distributed_resource_share() == pytest.approx(8 / 9)
+        empty = run_schedule([], Fleet(1), FifoPolicy())
+        assert empty.distributed_resource_share() == 0.0
+
+    def test_makespan_covers_all_jobs(self):
+        jobs = [make_job(i, submit_day=i) for i in range(3)]
+        outcome = run_schedule(
+            jobs, Fleet(1), FifoPolicy(), durations={0: 1.0, 1: 1.0, 2: 5.0}
+        )
+        assert outcome.makespan_hours == 2 * 24 + 5.0
+
+    def test_paper_claim_distributed_dominates(self, trace):
+        """Sec. II-A2: distributed training uses >85% of resources."""
+        placeable = [
+            j for j in trace
+            if not (
+                j.workload_type is Architecture.PS_WORKER
+                and j.num_cnodes > 512
+            )
+        ][:1500]
+        outcome = run_schedule(
+            placeable, Fleet(512), FifoPolicy(), collect_telemetry=False
+        )
+        assert outcome.rejected == []
+        assert outcome.distributed_resource_share() > 0.85
 
     def test_utilization_matches_legacy_definition(self):
         jobs = [make_job(0, Architecture.ALLREDUCE_LOCAL, 8)]

@@ -8,6 +8,14 @@ from repro.sched.predictor import sample_durations
 
 from sched_helpers import make_job
 
+#: ``sample_durations(jobs 0-2, seed=3)``, as drawn since the log-normal
+#: runtimes were introduced.
+LEGACY_DRAW = {
+    0: 23.155912007492375,
+    1: 2.0425754860086305,
+    2: 2.562802441271627,
+}
+
 
 class TestValidation:
     def test_median_steps_positive(self):
@@ -73,9 +81,18 @@ class TestPrediction:
 
 class TestSampleDurations:
     def test_matches_legacy_draw(self):
-        from repro.sim.multijob import sample_durations as legacy
-        jobs = [make_job(i) for i in range(5)]
-        assert sample_durations(jobs, seed=3) == legacy(jobs, seed=3)
+        """The draw is keyed on ``(seed, job_id)`` and must not drift:
+        every default-duration schedule in the reports is built on it."""
+        jobs = [make_job(i) for i in range(3)]
+        assert sample_durations(jobs, seed=3) == LEGACY_DRAW
+
+    def test_different_seeds_differ(self, small_trace):
+        assert sample_durations(small_trace, seed=3) != sample_durations(
+            small_trace, seed=4
+        )
+
+    def test_positive(self, small_trace):
+        assert all(hours > 0 for hours in sample_durations(small_trace).values())
 
     def test_validation(self):
         with pytest.raises(ValueError):

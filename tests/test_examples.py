@@ -13,6 +13,7 @@ FAST_EXAMPLES = [
     "architecture_advisor.py",
     "inference_characterization.py",
     "pearl_vs_ps.py",
+    "cluster_occupancy.py",
 ]
 
 
