@@ -1,7 +1,7 @@
 """Per-table/figure experiment modules, registry and CLI."""
 
+from ..runtime.result import ExperimentResult, format_value, render_table
 from .registry import EXPERIMENTS, experiment_ids, run_all, run_experiment
-from .result import ExperimentResult, format_value, render_table
 
 __all__ = [
     "EXPERIMENTS",

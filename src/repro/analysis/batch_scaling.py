@@ -14,9 +14,9 @@ from typing import List
 
 from ..core.efficiency import TABLE_VI_EFFICIENCIES
 from ..graphs import all_case_studies, case_study_deployments
+from ..runtime.result import ExperimentResult
 from ..sim.executor import simulate_step
 from .context import testbed_hardware
-from .result import ExperimentResult
 
 __all__ = ["run", "BATCH_FACTORS"]
 

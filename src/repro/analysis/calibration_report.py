@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from ..runtime.result import ExperimentResult
 from ..trace.calibration import evaluate_targets
 from .context import default_trace
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

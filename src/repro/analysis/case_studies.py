@@ -8,10 +8,10 @@ from ..core.units import GB, GIGA, MB
 from ..graphs import all_case_studies, case_study_deployments, case_study_features
 from ..graphs.features_from_graph import Deployment, sync_traffic
 from ..core.architectures import Architecture
+from ..runtime.result import ExperimentResult
 from ..sim.executor import simulate_step
 from .context import testbed_hardware
 from .paper_constants import TABLE_IV, TABLE_V
-from .result import ExperimentResult
 
 __all__ = ["run_table4", "run_table5", "run_table6", "run_fig12"]
 

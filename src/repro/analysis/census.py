@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from ..core.classify import Bottleneck, bottleneck_census, classify_population
 from ..core.projection import project_to_allreduce_local
+from ..runtime.result import ExperimentResult
 from .context import default_hardware, default_trace, ps_worker_features, trace_features
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

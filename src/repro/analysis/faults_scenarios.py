@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..faults import ScenarioReport, score_suite
 from ..faults.scenarios import DEFAULT_SEED
-from .result import ExperimentResult
+from ..runtime.result import ExperimentResult
 
 __all__ = ["run", "SUITE_SCENARIOS"]
 

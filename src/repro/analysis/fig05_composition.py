@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from ..core.architectures import Architecture
+from ..runtime.result import ExperimentResult
 from .context import default_trace
 from .paper_constants import FIG5
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from ..core.architectures import Architecture
 from ..core.units import gigabytes
+from ..runtime.result import ExperimentResult
 from ..trace.statistics import EmpiricalCDF
 from .context import default_trace
-from .result import ExperimentResult
 
 __all__ = ["run", "cnode_cdf", "weight_cdf"]
 

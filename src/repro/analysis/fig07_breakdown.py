@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from ..core.architectures import Architecture
 from ..core.population import batch_breakdowns
+from ..runtime.result import ExperimentResult
 from .context import default_hardware, trace_feature_arrays
 from .paper_constants import FIG7
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

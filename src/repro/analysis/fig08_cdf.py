@@ -11,9 +11,9 @@ from typing import Dict
 
 from ..core.architectures import Architecture
 from ..core.population import COMPONENT_KEYS, HARDWARE_KEYS, batch_breakdowns
+from ..runtime.result import ExperimentResult
 from ..trace.statistics import EmpiricalCDF
 from .context import default_hardware, trace_feature_arrays
-from .result import ExperimentResult
 
 __all__ = ["run", "component_cdfs", "hardware_cdfs"]
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from ..core.architectures import Architecture
 from ..core.population import ProjectionArrays, batch_projection_speedups
+from ..runtime.result import ExperimentResult
 from ..trace.statistics import EmpiricalCDF
 from .context import default_hardware, trace_feature_arrays
 from .paper_constants import FIG9
-from .result import ExperimentResult
 
 __all__ = ["run", "project_all"]
 

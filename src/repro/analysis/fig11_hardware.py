@@ -11,8 +11,8 @@ from typing import Dict
 
 from ..core.architectures import Architecture
 from ..core.sweep import SweepSeries, sweep_all_resources
+from ..runtime.result import ExperimentResult
 from .context import default_hardware, trace_feature_arrays
-from .result import ExperimentResult
 
 __all__ = ["run", "panel"]
 

@@ -22,10 +22,10 @@ from ..graphs import (
 )
 from ..graphs.features_from_graph import Deployment, features_for
 from ..optim import apply_passes, mixed_precision_pass, xla_fusion_pass
+from ..runtime.result import ExperimentResult
 from ..sim.executor import simulate_step
 from .context import testbed_hardware
 from .paper_constants import FIG13
-from .result import ExperimentResult
 
 __all__ = [
     "run",

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from ..core.sensitivity import FIG15_SCENARIOS, weight_share_scenarios
+from ..runtime.result import ExperimentResult
 from ..trace.statistics import EmpiricalCDF
 from .context import default_hardware, default_trace, ps_worker_features
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

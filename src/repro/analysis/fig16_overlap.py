@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from ..core.sensitivity import compare_overlap_assumptions, eq3_weight_bound_speedup
+from ..runtime.result import ExperimentResult
 from ..trace.statistics import EmpiricalCDF
 from .context import default_hardware, default_trace, ps_worker_features
 from .paper_constants import FIG16
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 from ..core.units import GB
 from ..graphs import all_case_studies
 from ..inference import batch_sweep, estimate_latency, inference_features_for
+from ..runtime.result import ExperimentResult
 from .context import testbed_hardware
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

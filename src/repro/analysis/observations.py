@@ -11,9 +11,9 @@ from ..core.architectures import Architecture
 from ..core.population import batch_breakdowns, batch_projection_speedups
 from ..core.sweep import sweep_resource
 from ..core.units import gbps, gigabytes
+from ..runtime.result import ExperimentResult
 from ..sched import FifoPolicy, Fleet, run_schedule
 from .context import default_hardware, default_trace, trace_feature_arrays
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

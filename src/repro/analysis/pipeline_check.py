@@ -12,9 +12,9 @@ from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY
 from ..core.timemodel import estimate_breakdown
 from ..graphs import all_case_studies, case_study_deployments
 from ..profiling import JobMetadata, RunMetadata, extract_features
+from ..runtime.result import ExperimentResult
 from ..sim.executor import SimulationOptions, simulate_step
 from .context import testbed_hardware
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

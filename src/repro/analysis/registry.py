@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from ..runtime.result import ExperimentResult
 from . import (
     case_studies,
     fig05_composition,
@@ -28,7 +29,6 @@ from .pipeline_check import run as run_pipeline
 from .sched_policies import run as run_sched_policies
 from .sched_whatif import run as run_sched_whatif
 from .tenants import run as run_tenants
-from .result import ExperimentResult
 
 __all__ = ["EXPERIMENTS", "run_experiment", "run_all", "experiment_ids"]
 

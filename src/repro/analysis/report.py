@@ -16,7 +16,7 @@ import io
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .result import ExperimentResult, format_value
+from ..runtime.result import ExperimentResult, format_value
 
 __all__ = [
     "render_markdown",

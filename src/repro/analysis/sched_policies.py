@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Tuple
 
+from ..runtime.result import ExperimentResult
 from ..sched import (
     BackfillPolicy,
     FifoPolicy,
@@ -27,7 +28,6 @@ from ..sched import (
     run_schedule,
 )
 from .context import default_hardware, default_trace
-from .result import ExperimentResult
 
 __all__ = ["run", "run_policies"]
 

@@ -12,8 +12,8 @@ attributable to the architecture shift alone.
 
 from __future__ import annotations
 
+from ..runtime.result import ExperimentResult
 from .context import default_hardware, default_trace
-from .result import ExperimentResult
 from ..sched import ModelRuntimePredictor, WhatIfReport, run_projection_what_if
 from .sched_policies import NUM_SERVERS, TRACE_JOBS, _stressed_trace
 

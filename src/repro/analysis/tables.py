@@ -5,8 +5,8 @@ from __future__ import annotations
 from ..core.architectures import Architecture
 from ..core.hardware import TABLE_III_VARIATIONS
 from ..core.units import GIGA, TERA, format_bandwidth
+from ..runtime.result import ExperimentResult
 from .context import default_hardware
-from .result import ExperimentResult
 
 __all__ = ["run_table1", "run_table2", "run_table3"]
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from ..runtime.result import ExperimentResult
 from .context import default_trace
 from ..trace.groups import group_profiles, resource_concentration
-from .result import ExperimentResult
 
 __all__ = ["run"]
 

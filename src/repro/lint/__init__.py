@@ -17,8 +17,7 @@ machine-checks those invariants:
 * a whole-project call graph (:mod:`repro.lint.callgraph`) backing the
   determinism rule's experiment reachability;
 * per-file parallel analysis plus a cross-file project phase in
-  :mod:`repro.lint.engine`, with a content-addressed incremental cache
-  (:mod:`repro.lint.cache`) so warm runs re-analyze only changed files;
+  :mod:`repro.lint.engine`;
 * inline ``# repro: ignore[rule-id]`` suppressions and a committed
   JSON baseline of justified, grandfathered findings (stale entries
   fail the run);
@@ -32,7 +31,6 @@ See ``docs/LINT.md`` for the architecture and the rule catalog.
 """
 
 from .baseline import Baseline, BaselineEntry, write_baseline
-from .cache import AnalysisCache, rules_signature
 from .callgraph import CallGraph, Reachability
 from .cfg import CFG, Block, WithExit, build_cfg
 from .dataflow import (
@@ -48,7 +46,6 @@ from .registry import Rule, all_rules, get_rule, register, rule_ids
 from .sarif import render_sarif, to_sarif
 
 __all__ = [
-    "AnalysisCache",
     "Baseline",
     "BaselineEntry",
     "Block",
@@ -72,7 +69,6 @@ __all__ = [
     "register",
     "render_sarif",
     "rule_ids",
-    "rules_signature",
     "run_forward",
     "to_sarif",
     "write_baseline",

@@ -60,9 +60,7 @@ class CallGraph:
     ) -> None:
         """Register ``qual`` with its ``(callee, line)`` call sites.
 
-        Summaries survive a JSON round-trip through the analysis cache,
-        so call sites arrive as two-element lists as often as tuples;
-        both are accepted.
+        A call site is any two-element sequence, tuple or list.
         """
         entry = self._callees.setdefault(qual, [])
         for callee, line in calls:

@@ -8,7 +8,6 @@ Usage::
     repro-lint src/ --sarif lint.sarif    # ... or to a file, alongside
     repro-lint src/ --rules no-print,determinism
     repro-lint src/ --jobs 8              # parallel per-file phase
-    repro-lint src/ --cache               # incremental (.lint-cache/)
     repro-lint src/ --write-baseline      # grandfather current findings
     repro-lint src/ --prune-baseline      # drop stale baseline entries
     repro-lint --list-rules               # catalog with one-liners
@@ -26,7 +25,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .baseline import Baseline, write_baseline
-from .cache import AnalysisCache
 from .engine import lint_paths
 from .output import render_human, render_jsonl
 from .registry import all_rules
@@ -90,17 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=".lint-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "incremental mode: reuse per-file results for unchanged "
-            "files from DIR (default: .lint-cache)"
-        ),
-    )
-    parser.add_argument(
         "--write-baseline",
         action="store_true",
         help="write current findings to the baseline file and exit 0",
@@ -144,10 +131,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 1")
 
     baseline_path = _resolve_baseline(args.baseline)
-    cache = AnalysisCache(Path(args.cache)) if args.cache else None
     if args.write_baseline:
         target = baseline_path or Path(args.baseline or DEFAULT_BASELINE)
-        result = lint_paths(args.paths, rules=rules, jobs=args.jobs, cache=cache)
+        result = lint_paths(args.paths, rules=rules, jobs=args.jobs)
         count = write_baseline(result.findings, target)
         print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} to {target}")
         return 0
@@ -167,7 +153,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             rules=rules,
             jobs=args.jobs,
             baseline=baseline,
-            cache=cache,
         )
     except KeyError as exc:
         parser.error(str(exc))

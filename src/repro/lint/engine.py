@@ -28,7 +28,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import DEBUG, get_obs
 from .baseline import Baseline
-from .cache import AnalysisCache
 from .context import FileContext
 from .findings import Finding, finding_sort_key
 from .registry import Rule, instantiate, iter_findings
@@ -47,10 +46,6 @@ class LintResult:
     files: int = 0
     rule_ids: List[str] = field(default_factory=list)
     unused_baseline: List[Any] = field(default_factory=list)
-    #: Files whose per-file phase actually ran this invocation.
-    analyzed_files: List[str] = field(default_factory=list)
-    #: Files served from the incremental analysis cache.
-    cached_files: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -115,7 +110,6 @@ def lint_paths(
     rules: Optional[Sequence[str]] = None,
     jobs: int = 1,
     baseline: Optional[Baseline] = None,
-    cache: Optional[AnalysisCache] = None,
 ) -> LintResult:
     """Run the engine over files and directories.
 
@@ -125,9 +119,6 @@ def lint_paths(
         jobs: Worker processes for the per-file phase; ``1`` runs
             in-process.
         baseline: Grandfathered findings to subtract.
-        cache: Incremental analysis cache; per-file outcomes for
-            unchanged files are served from it, only misses run
-            (the project phase always reruns over all summaries).
 
     Returns:
         A :class:`LintResult`; ``result.ok`` is the pass/fail verdict.
@@ -136,58 +127,25 @@ def lint_paths(
     rule_ids = [rule.id for rule in rule_instances]
     files = iter_python_files(paths)
 
-    # Consult the cache in the parent: workers stay pure analyzers and
-    # the cache directory sees exactly one writer per entry per run.
-    outcome_by_file: Dict[Path, _FileOutcome] = {}
-    cache_keys: Dict[Path, str] = {}
-    cached_files: List[str] = []
-    if cache is not None:
-        for path in files:
-            try:
-                source = path.read_bytes()
-            except OSError:
-                continue  # the analyzer will report it as a parse error
-            key = cache.key(source, rule_ids)
-            cache_keys[path] = key
-            hit = cache.get(key)
-            if hit is not None:
-                outcome_by_file[path] = hit
-                cached_files.append(str(path))
-    to_analyze = [path for path in files if path not in outcome_by_file]
-
     obs = get_obs()
-    with obs.trace(
-        "lint.files",
-        files=len(files),
-        jobs=jobs,
-        cached=len(cached_files),
-    ):
-        if jobs > 1 and len(to_analyze) > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(to_analyze))
-            ) as pool:
-                fresh = list(
+    with obs.trace("lint.files", files=len(files), jobs=jobs):
+        if jobs > 1 and len(files) > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(files))) as pool:
+                outcomes = list(
                     pool.map(
                         _analyze_one,
-                        [str(path) for path in to_analyze],
-                        [rule_ids] * len(to_analyze),
+                        [str(path) for path in files],
+                        [rule_ids] * len(files),
                         chunksize=8,
                     )
                 )
         else:
-            fresh = [_analyze_one(str(path), rule_ids) for path in to_analyze]
-    for path, outcome in zip(to_analyze, fresh):
-        outcome_by_file[path] = outcome
-        if cache is not None and path in cache_keys:
-            cache.put(cache_keys[path], outcome)
-    obs.metrics.counter("lint.cache.hits").inc(len(cached_files))
-    obs.metrics.counter("lint.cache.misses").inc(len(to_analyze))
+            outcomes = [_analyze_one(str(path), rule_ids) for path in files]
 
     all_findings: List[Finding] = []
     suppressed = 0
     summaries: Dict[str, List[Any]] = {}
-    for path in files:
-        findings, file_suppressed, file_summaries = outcome_by_file[path]
+    for findings, file_suppressed, file_summaries in outcomes:
         all_findings.extend(findings)
         suppressed += file_suppressed
         for rule_id, summary in file_summaries.items():
@@ -202,11 +160,7 @@ def lint_paths(
             )
 
     result = LintResult(
-        suppressed=suppressed,
-        files=len(files),
-        rule_ids=rule_ids,
-        analyzed_files=[str(path) for path in to_analyze],
-        cached_files=cached_files,
+        suppressed=suppressed, files=len(files), rule_ids=rule_ids
     )
     for finding in sorted(all_findings, key=finding_sort_key):
         if baseline is not None and baseline.match(finding):

@@ -21,8 +21,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..analysis.result import ExperimentResult
 from ..obs import DEBUG, WARNING, get_obs
+from .result import ExperimentResult
 
 __all__ = [
     "CACHE_DIR_ENV_VAR",

@@ -41,10 +41,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.result import ExperimentResult
 from ..obs import DEBUG, INFO, WARNING, get_obs
 from .cache import ResultCache, normalize_result
 from .fingerprint import experiment_fingerprint
+from .result import ExperimentResult
 
 __all__ = [
     "ExperimentOutcome",

@@ -3,7 +3,9 @@
 Every experiment module returns an :class:`ExperimentResult`: a list of
 row dicts (the regenerated table / figure series) plus notes comparing
 against the paper's reported values.  The benchmark harness and the CLI
-render these with :func:`render_table`.
+render these with :func:`render_table`.  The type lives in ``runtime``
+because the result cache, the suite executor and the serve layer all
+store or return it; :mod:`repro.analysis` re-exports it.
 """
 
 from __future__ import annotations

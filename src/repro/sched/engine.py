@@ -28,8 +28,8 @@ queue before anything else happening at that hour.  A day's
 model-predicted durations come from one vectorized
 :meth:`~repro.sched.predictor.ModelRuntimePredictor.batch_duration_hours`
 call, and for non-preempting policies a whole-queue feasibility screen
-against :meth:`~repro.sched.fleet.Fleet.feasibility_caps` skips the
-policy round when nothing can start.  Both are exact reductions of the
+(:meth:`~repro.sched.fleet.Fleet.any_fits`) skips the policy round when
+nothing can start.  Both are exact reductions of the
 per-job path: the same floats, the same event ordering, the same
 schedule.  Golden digests of whole
 :class:`~repro.sched.outcomes.ScheduleOutcome` values, recorded when a
@@ -108,33 +108,6 @@ class _JobState:
         self.incarnation = 0
         #: Failure/requeue cycles (injected worker crashes).
         self.retries = 0
-
-
-def _any_fits(queue: List[PendingJob], caps: Tuple[int, int, int]) -> bool:
-    """Whether any queued job could be placed, from the feasibility caps.
-
-    Exact per architecture shape (see
-    :meth:`~repro.sched.fleet.Fleet.feasibility_caps`): a local gang
-    needs one server block at least as wide, PS/Worker needs one
-    partially-free server per worker, and packed cluster shapes need
-    only the free pool.  When this returns ``False`` every
-    ``fleet.fits``/``try_place`` probe a non-preempting policy could
-    make would fail, so its decision is provably empty and the engine
-    may skip the policy call without changing the schedule.
-    """
-    largest_block, servers_with_free, free_gpus = caps
-    for pending in queue:
-        architecture = pending.job.workload_type
-        width = pending.job.num_cnodes
-        if architecture.is_local:
-            if width <= largest_block:
-                return True
-        elif architecture is Architecture.PS_WORKER:
-            if width <= servers_with_free:
-                return True
-        elif width <= free_gpus:
-            return True
-    return False
 
 
 def run_schedule(
@@ -393,8 +366,8 @@ def run_schedule(
                     )
                 )
 
-        if queue and screen_queue and not _any_fits(
-            queue, fleet.feasibility_caps()
+        if queue and screen_queue and not fleet.any_fits(
+            pending.job for pending in queue
         ):
             # Provably empty decision: skip the policy round.
             obs.metrics.counter("sched.screened_rounds").inc()

@@ -20,13 +20,35 @@ the telemetry in :mod:`repro.sched.outcomes` tracks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..core.architectures import Architecture
+from ..trace.schema import JobRecord
 
-__all__ = ["Fleet", "Placement"]
+__all__ = ["Fleet", "Placement", "shape_fits"]
+
+
+def shape_fits(
+    architecture: Architecture, num_gpus: int, caps: Tuple[int, int, int]
+) -> bool:
+    """Whether a job of this shape fits capacity summarized by ``caps``.
+
+    ``caps`` is ``(largest_free_block, servers_with_free, free_gpus)``
+    (see :meth:`Fleet.feasibility_caps`).  The placement shapes reduce
+    exactly to these: a local gang needs one server block at least as
+    wide, a PS/Worker job one partially free server per worker, and a
+    packed cluster shape only the free pool.  This is the fleet's one
+    feasibility predicate: :meth:`Fleet.fits`, :meth:`Fleet.can_ever_place`
+    and the engine's queue screen all ask it.
+    """
+    largest_block, servers_with_free, free_gpus = caps
+    if architecture.is_local:
+        return num_gpus <= largest_block
+    if architecture is Architecture.PS_WORKER:
+        return num_gpus <= servers_with_free
+    return num_gpus <= free_gpus
 
 
 @dataclass(frozen=True)
@@ -116,18 +138,8 @@ class Fleet:
         return copy
 
     def feasibility_caps(self) -> Tuple[int, int, int]:
-        """The three scalars that decide instantaneous placeability.
-
-        One pass over the free array yields ``(largest_free_block,
-        servers_with_any_free, free_gpus)``.  :meth:`fits` reduces
-        exactly to these: a local gang fits iff its width is at most
-        the largest single-server block, a PS/Worker job (one GPU per
-        server) iff enough servers have any free GPU, and a packed
-        cluster shape iff the total free pool covers it.  The
-        day-batched engine screens a whole queue against these caps
-        before invoking a policy, skipping the sort-and-trial-place
-        round entirely when nothing can start.
-        """
+        """``(largest_free_block, servers_with_free, free_gpus)`` now:
+        the input of :func:`shape_fits`."""
         free = self._free
         return (
             int(free.max()),
@@ -172,17 +184,26 @@ class Fleet:
 
     def fits(self, architecture: Architecture, num_gpus: int) -> bool:
         """Whether the job could be placed on the fleet right now."""
-        return self._shape(architecture, num_gpus) is not None
+        if num_gpus < 1:
+            raise ValueError("num_gpus must be positive")
+        return shape_fits(architecture, num_gpus, self.feasibility_caps())
+
+    def any_fits(self, jobs: Iterable[JobRecord]) -> bool:
+        """Whether any of ``jobs`` could be placed right now.
+
+        The caps are taken once, however many jobs are asked about.
+        """
+        caps = self.feasibility_caps()
+        return any(
+            shape_fits(job.workload_type, job.num_cnodes, caps) for job in jobs
+        )
 
     def can_ever_place(self, architecture: Architecture, num_gpus: int) -> bool:
         """Whether the job fits an *empty* fleet of this geometry."""
         if num_gpus < 1:
             raise ValueError("num_gpus must be positive")
-        if architecture.is_local:
-            return num_gpus <= self.gpus_per_server
-        if architecture is Architecture.PS_WORKER:
-            return num_gpus <= self.num_servers
-        return num_gpus <= self.total_gpus
+        empty = (self.gpus_per_server, self.num_servers, self.total_gpus)
+        return shape_fits(architecture, num_gpus, empty)
 
     def try_place(
         self, architecture: Architecture, num_gpus: int

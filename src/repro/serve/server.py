@@ -39,10 +39,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-from ..analysis.result import ExperimentResult
 from ..obs import get_obs
 from ..runtime.cache import ResultCache
 from ..runtime.fingerprint import fingerprint
+from ..runtime.result import ExperimentResult
 from ..trace.schema import JobRecord
 from ..trace.serialization import job_from_dict, job_to_dict
 from .replay import TraceReplayer

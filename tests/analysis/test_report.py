@@ -1,10 +1,16 @@
 """Markdown report generation and the extended CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.report import render_markdown
-from repro.analysis.result import ExperimentResult
+from repro.runtime import suite_experiment_ids
+from repro.runtime.result import ExperimentResult
+
+#: The committed output of ``pai-repro report --no-cache -o report.md``.
+COMMITTED_REPORT = Path(__file__).resolve().parents[2] / "report.md"
 
 
 def toy_results():
@@ -83,6 +89,15 @@ class TestCliReport:
         assert "injected failure" in text
         err = capsys.readouterr().err
         assert "1 of 2 experiments failed: broken" in err
+
+
+class TestCommittedReport:
+    def test_every_suite_experiment_is_listed_and_rendered(self):
+        lines = COMMITTED_REPORT.read_text(encoding="utf-8").splitlines()
+        for experiment_id in suite_experiment_ids():
+            link = f"- [{experiment_id}](#{experiment_id})"
+            assert any(line.startswith(link) for line in lines), experiment_id
+            assert f"## {experiment_id}" in lines, experiment_id
 
 
 class TestRenderMarkdownFailures:

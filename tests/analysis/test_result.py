@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.result import ExperimentResult, format_value, render_table
+from repro.runtime.result import ExperimentResult, format_value, render_table
 
 
 class TestFormatValue:

@@ -58,8 +58,8 @@ def test_unknown_roots_are_ignored():
 
 
 def test_add_function_accepts_lists_after_json_round_trip():
-    # Summaries pass through the analysis cache as JSON, where tuples
-    # come back as lists; the graph must accept both shapes.
+    # Summaries decoded from JSON carry call sites as lists rather than
+    # tuples; the graph must accept both shapes.
     graph = CallGraph()
     graph.add_function("pkg.a.f", [["pkg.b.g", 5]])
     graph.add_function("pkg.b.g", ())

@@ -117,14 +117,6 @@ def test_baseline_entries_without_reasons_are_rejected(dirty_tree, capsys):
     assert excinfo.value.code == 2
 
 
-def test_cache_flag_serves_warm_runs_incrementally(dirty_tree, capsys):
-    assert main([str(dirty_tree), "--cache"]) == 1
-    assert (dirty_tree / ".lint-cache").is_dir()
-    assert main([str(dirty_tree), "--cache"]) == 1
-    out = capsys.readouterr().out
-    assert "0 analyzed, 1 served from cache" in out
-
-
 def test_sarif_file_is_written_even_when_findings_fail_the_run(dirty_tree):
     assert main([str(dirty_tree), "--sarif", "out.sarif"]) == 1
     doc = json.loads((dirty_tree / "out.sarif").read_text())

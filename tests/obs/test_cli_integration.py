@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.analysis.cli import build_parser, main
-from repro.analysis.result import ExperimentResult
 from repro.obs import reset_obs
+from repro.runtime.result import ExperimentResult
 
 
 @pytest.fixture(autouse=True)

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.result import ExperimentResult, format_value
 from repro.runtime.cache import (
     CACHE_DIR_ENV_VAR,
     ResultCache,
@@ -13,6 +12,7 @@ from repro.runtime.cache import (
     normalize_result,
     normalize_value,
 )
+from repro.runtime.result import ExperimentResult, format_value
 
 
 def sample_result():

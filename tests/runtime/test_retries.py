@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.result import ExperimentResult
 from repro.runtime import ResultCache, failed_ids, run_suite
+from repro.runtime.result import ExperimentResult
 
 
 def _toy_registry(monkeypatch, experiments):

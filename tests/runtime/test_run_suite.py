@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.context import TRACE_JOBS_ENV_VAR, clear_caches
 from repro.analysis.registry import EXPERIMENTS
 from repro.analysis.report import render_outcomes
-from repro.analysis.result import ExperimentResult
 from repro.runtime import (
     ExperimentOutcome,
     ResultCache,
@@ -16,6 +15,7 @@ from repro.runtime import (
     run_suite,
     suite_experiment_ids,
 )
+from repro.runtime.result import ExperimentResult
 
 #: Small trace for suite-level tests; participates in fingerprints, so
 #: entries never collide with a full-size run's cache.

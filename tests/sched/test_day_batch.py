@@ -11,6 +11,9 @@ every bundled policy, with and without injected faults, and on small
 traces that reach paths the big run may miss.
 """
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.context import default_trace
@@ -212,26 +215,53 @@ class TestMayPreempt:
 
 
 class TestFeasibilityCaps:
-    """The caps must reduce ``fits`` exactly, shape by shape."""
+    """``fits`` answers exactly what a trial placement would.
+
+    ``fits``, the engine's queue screen (``any_fits``) and
+    ``can_ever_place`` ask one predicate; these tests pin it against the
+    ground truth: ``try_place`` on a clone succeeds.
+    """
+
+    @staticmethod
+    def occupancies(fleet, seed, steps=40):
+        """Yield ``fleet`` after each step of a seeded place/release walk."""
+        rng = random.Random(seed)
+        held = []
+        architectures = list(Architecture)
+        for _ in range(steps):
+            if held and rng.random() < 0.4:
+                fleet.release(held.pop(rng.randrange(len(held))))
+            else:
+                width = rng.randint(1, fleet.gpus_per_server + 2)
+                placement = fleet.try_place(rng.choice(architectures), width)
+                if placement is not None:
+                    held.append(placement)
+            yield fleet
 
     def test_caps_match_fits_across_occupancies(self):
-        fleet = Fleet(5, gpus_per_server=8)
-        fleet.try_place(Architecture.ALLREDUCE_LOCAL, 7)
-        fleet.try_place(Architecture.ALLREDUCE_LOCAL, 8)
-        fleet.try_place(Architecture.PS_WORKER, 3)
-        largest, with_free, total_free = fleet.feasibility_caps()
-        for architecture in Architecture:
-            for width in range(1, fleet.total_gpus + 2):
-                if architecture.is_local:
-                    expected = width <= largest
-                elif architecture is Architecture.PS_WORKER:
-                    expected = width <= with_free
-                else:
-                    expected = width <= total_free
-                assert fleet.fits(architecture, width) is expected, (
-                    architecture,
-                    width,
-                )
+        for seed, geometry in enumerate([(5, 8), (5, 8), (3, 4), (7, 2)]):
+            for state in self.occupancies(Fleet(*geometry), seed):
+                for architecture in Architecture:
+                    for width in range(1, state.total_gpus + 2):
+                        trial = state.clone().try_place(architecture, width)
+                        placed = trial is not None
+                        job = SimpleNamespace(
+                            workload_type=architecture, num_cnodes=width
+                        )
+                        where = (state.free_by_server, architecture, width)
+                        assert state.fits(architecture, width) is placed, where
+                        assert state.any_fits([job]) is placed, where
+
+    def test_can_ever_place_is_fits_on_an_empty_fleet(self):
+        for num_servers, gpus_per_server in [(5, 8), (3, 4), (7, 2), (1, 1)]:
+            fleet = Fleet(num_servers, gpus_per_server)
+            fleet.try_place(Architecture.SINGLE, 1)
+            for architecture in Architecture:
+                for width in range(1, fleet.total_gpus + 2):
+                    empty = Fleet(num_servers, gpus_per_server)
+                    assert fleet.can_ever_place(architecture, width) is (
+                        empty.fits(architecture, width)
+                    ), (num_servers, gpus_per_server, architecture, width)
 
 
 class TestBatchDurations:
